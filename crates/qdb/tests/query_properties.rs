@@ -5,10 +5,32 @@
 use datagen::twitter::TweetTable;
 use proptest::prelude::*;
 use qdb::{
+    execute_sharded, parse_sql,
     queries::{filtered_topk, group_topk, ranked_topk},
-    FilterOp, GpuTweetTable, Strategy, SubmitOptions, TopKStrategy,
+    BackendTable, FilterOp, GpuTweetTable, PartitionPolicy, ReplicationFactor, ServerConfig,
+    ShardedServer, ShardedTable, Strategy, SubmitOptions, TopKStrategy, TopKView, ViewConfig,
 };
+use simt::topology::{Cluster, ClusterSpec};
 use simt::Device;
+use topk::ExecBackend;
+
+/// One SQL text per query shape the single-device, sharded and view
+/// paths all serve: time filter, language filter, DESC, ASC and rank.
+fn shape_sql(shape: usize, host: &TweetTable, k: usize) -> String {
+    let order = "ORDER BY retweet_count";
+    match shape {
+        0 => format!(
+            "SELECT id FROM tweets WHERE tweet_time < {} {order} DESC LIMIT {k}",
+            host.time_cutoff_for_selectivity(0.6)
+        ),
+        1 => {
+            format!("SELECT id FROM tweets WHERE lang = 'en' OR lang = 'ja' {order} DESC LIMIT {k}")
+        }
+        2 => format!("SELECT id FROM tweets {order} DESC LIMIT {k}"),
+        3 => format!("SELECT id FROM tweets {order} ASC LIMIT {k}"),
+        _ => format!("SELECT id FROM tweets {order} + 0.5 * likes_count DESC LIMIT {k}"),
+    }
+}
 
 /// Naive host evaluation of Q1/Q3: filter, order by retweet_count desc,
 /// limit k — returns the winning retweet counts (ids may tie-permute).
@@ -141,5 +163,98 @@ proptest! {
         let sk: Vec<u32> = staged.ids.iter().map(|&id| host.retweet_count[id as usize]).collect();
         let fk: Vec<u32> = fused.ids.iter().map(|&id| host.retweet_count[id as usize]).collect();
         prop_assert_eq!(sk, fk);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every query path answers the same SQL with the same ids in the
+    /// same order: one device's `Server`, the sharded server, a direct
+    /// sharded execution, and a standing view brought current after an
+    /// append on one device, on the CPU engine and across shards. Tables
+    /// are small so that LIMIT often exceeds a shard's row count, and
+    /// every shard-local sub-query has to clamp it.
+    #[test]
+    fn every_query_path_returns_the_same_ids(
+        seed in any::<u64>(),
+        n in 12usize..48,
+        shape in 0usize..5,
+        policy_idx in 0usize..3,
+        r in 1usize..3,
+        limit_pick in 0usize..3,
+        append in 1usize..7,
+    ) {
+        let policy = PartitionPolicy::all()[policy_idx];
+        let cluster = Cluster::new(ClusterSpec::pcie_node(4));
+        let mut host = TweetTable::generate(n, seed);
+        let batch = TweetTable::generate_at(append, seed ^ 0x5eed, n as u32);
+        let cap = n + append;
+        let sharded = ShardedTable::partition_replicated_with_capacity(
+            &cluster,
+            &host,
+            policy,
+            ReplicationFactor(r),
+            cap,
+        )
+        .unwrap();
+        let smallest_shard = sharded.shard_rows().into_iter().min().unwrap();
+        let k = match limit_pick {
+            0 => 1,
+            1 => (smallest_shard + 1).min(n),
+            _ => n,
+        };
+        let sql = shape_sql(shape, &host, k);
+
+        // standing views built before the append, refreshed after it
+        let view = || TopKView::register(&sql, Strategy::StageBitonic, ViewConfig::default()).unwrap();
+        let dev = Device::titan_x();
+        let gpu = GpuTweetTable::upload_with_capacity(&dev, &host, cap);
+        let cpu_be = ExecBackend::cpu(2);
+        let cpu = BackendTable::load_with_capacity(&cpu_be, &host, cap);
+        let (dev_view, cpu_view, sharded_view) = (view(), view(), view());
+        dev_view.refresh(&dev, &gpu).unwrap();
+        cpu_view.refresh_on(&cpu_be, &cpu).unwrap();
+        sharded_view.refresh_sharded(&cluster, &sharded, 2).unwrap();
+
+        gpu.append_batch(&dev, &batch).unwrap();
+        cpu.append_batch(&cpu_be, &batch).unwrap();
+        sharded.append_batch(&cluster, &batch).unwrap();
+        host.extend_from(&batch);
+
+        let oracle = {
+            let dev = Device::titan_x();
+            let table = GpuTweetTable::upload(&dev, &host);
+            qdb::execute_sql(&dev, &table, &parse_sql(&sql).unwrap(), Strategy::StageBitonic)
+                .unwrap()
+                .ids
+        };
+
+        let mut server = qdb::Server::new(&dev, &gpu, ServerConfig::default());
+        let t = server.submit(&sql, SubmitOptions::default()).unwrap();
+        let served = server.drain();
+        prop_assert_eq!(&served.queries[t.0].result.ids, &oracle, "Server: {}", sql);
+
+        let mut sharded_server = ShardedServer::new(&cluster, &sharded, ServerConfig::default());
+        let t = sharded_server.submit(&sql).unwrap();
+        let report = sharded_server.drain();
+        prop_assert_eq!(&report.queries[t.0].ids, &oracle, "ShardedServer: {}", sql);
+
+        let direct = execute_sharded(
+            &cluster,
+            &sharded,
+            &parse_sql(&sql).unwrap(),
+            Strategy::StageBitonic,
+            2,
+        )
+        .unwrap();
+        prop_assert_eq!(&direct.ids, &oracle, "execute_sharded: {}", sql);
+
+        let refreshed = dev_view.refresh(&dev, &gpu).unwrap();
+        prop_assert_eq!(&refreshed.ids, &oracle, "refresh ({:?}): {}", refreshed.mode, sql);
+        let refreshed = cpu_view.refresh_on(&cpu_be, &cpu).unwrap();
+        prop_assert_eq!(&refreshed.ids, &oracle, "refresh_on cpu ({:?}): {}", refreshed.mode, sql);
+        let refreshed = sharded_view.refresh_sharded(&cluster, &sharded, 2).unwrap();
+        prop_assert_eq!(&refreshed.ids, &oracle, "refresh_sharded ({:?}): {}", refreshed.mode, sql);
     }
 }
