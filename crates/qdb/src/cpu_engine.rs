@@ -19,7 +19,7 @@ use topk_cpu::{CpuBitonic, CpuSort, CpuTopK};
 use crate::engine::FilterOp;
 use crate::error::QdbError;
 use crate::queries::Strategy;
-use crate::sql::{OrderBy, Query, SqlError};
+use crate::sql::{validate, OrderBy, Query, SqlError};
 
 /// One CPU query outcome: ranked ids plus the per-stage wall-clock
 /// breakdown in milliseconds.
@@ -73,16 +73,17 @@ pub(crate) fn strategy_topk<T: datagen::TopKItem>(
     }
 }
 
-/// Executes a validated query against a host-resident table with real
+/// Executes a query against a host-resident table with real
 /// `threads`-way parallelism. Mirrors the simulated engine's supported
-/// shapes exactly, including its typed rejections (ranking weight other
-/// than 0.5, WHERE combined with ranking).
+/// shapes exactly, including its typed rejections ([`validate`]); an
+/// empty table is rejected too.
 pub(crate) fn execute_cpu(
     t: &TweetTable,
     q: &Query,
     strategy: Strategy,
     threads: usize,
 ) -> Result<CpuQueryOutput, QdbError> {
+    validate(q, None)?;
     let n = t.len();
     if n == 0 {
         return Err(QdbError::EmptyTable);
@@ -119,12 +120,6 @@ pub(crate) fn execute_cpu(
             })
         }
         (OrderBy::Rank { likes_weight }, false) => {
-            if (likes_weight - 0.5).abs() > 1e-9 {
-                return Err(SqlError::Unsupported("ranking weight other than 0.5").into());
-            }
-            if q.filter.is_some() {
-                return Err(SqlError::Unsupported("WHERE combined with a ranking function").into());
-            }
             let w = *likes_weight;
             let scan = Instant::now();
             let partials = par_chunks(n, threads, |r| {
