@@ -1,24 +1,26 @@
 //! The unified benchmark harness binary: runs the top-k figure suite,
-//! the qdb serving suite, the multi-device cluster suite and the
-//! real-CPU backend suite, and writes machine-readable
-//! `BENCH_topk.json` / `BENCH_serve.json` / `BENCH_cluster.json` /
-//! `BENCH_cpu.json` / `BENCH_stream.json` reports (see `bench::report`
-//! for the schema).
+//! the qdb serving suite, the real-CPU backend suite, the streaming
+//! suite and the multi-device cluster suite, and writes one
+//! machine-readable `BENCH_<suite>.json` report per suite (see
+//! `bench::report` for the schema).
 //!
 //! ```text
 //! harness [--out-dir DIR] [--only topk|serve|cluster|cpu|stream]
 //! ```
 //!
-//! Scale comes from `TOPK_REPRO_LOG2N` like every experiment binary:
-//! unset runs the full profile (top-k at 2^22, serving at 2^17);
-//! `TOPK_REPRO_LOG2N=16` is the small profile the CI perf gate uses.
-//! Compare the written reports against the committed baseline with
-//! `bench-diff`.
+//! Scale comes from `TOPK_REPRO_LOG2N`: unset runs the full profile
+//! (top-k at 2^22, serving at 2^17); `TOPK_REPRO_LOG2N=16` is the small
+//! profile the CI perf gate uses. Compare the written reports against
+//! the committed baseline with `bench-diff`, and render the paper's
+//! tables from them with `tables`.
 
 use bench::harness::{
     run_cluster_suite, run_cpu_suite, run_serve_suite, run_stream_suite, run_topk_suite,
     HarnessScales,
 };
+use bench::report::BenchReport;
+
+const SUITES: [&str; 5] = ["topk", "serve", "cpu", "stream", "cluster"];
 
 fn main() {
     let mut out_dir = std::path::PathBuf::from(".");
@@ -34,11 +36,7 @@ fn main() {
                     .next()
                     .expect("--only needs topk|serve|cluster|cpu|stream");
                 assert!(
-                    suite == "topk"
-                        || suite == "serve"
-                        || suite == "cluster"
-                        || suite == "cpu"
-                        || suite == "stream",
+                    SUITES.contains(&suite.as_str()),
                     "--only accepts topk, serve, cluster, cpu or stream, got '{suite}'"
                 );
                 only = Some(suite);
@@ -61,73 +59,25 @@ fn main() {
         scales.stream_log2n
     );
 
-    let write = |name: &str, text: String, cells: usize| {
-        let path = out_dir.join(name);
-        std::fs::write(&path, text).expect("write report");
+    type Suite = fn(u32, &str) -> BenchReport;
+    let suites: [(Suite, u32); 5] = [
+        (run_topk_suite, scales.topk_log2n),
+        (run_serve_suite, scales.serve_log2n),
+        (run_cpu_suite, scales.cpu_log2n),
+        (run_stream_suite, scales.stream_log2n),
+        (run_cluster_suite, scales.topk_log2n),
+    ];
+    for (name, (run, log2n)) in SUITES.into_iter().zip(suites) {
+        if only.as_deref().is_some_and(|o| o != name) {
+            continue;
+        }
+        let wall = std::time::Instant::now();
+        let report = run(log2n, &scales.profile);
+        let cells = report.experiments.len();
+        let secs = wall.elapsed().as_secs_f64();
+        println!("{name} suite: {cells} cells in {secs:.1}s host wall");
+        let path = out_dir.join(format!("BENCH_{name}.json"));
+        std::fs::write(&path, report.render()).expect("write report");
         println!("wrote {} ({cells} experiments)", path.display());
-    };
-
-    let run = |suite: &str| only.is_none() || only.as_deref() == Some(suite);
-    if run("topk") {
-        let wall = std::time::Instant::now();
-        let report = run_topk_suite(scales.topk_log2n, &scales.profile);
-        println!(
-            "topk suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write("BENCH_topk.json", report.render(), report.experiments.len());
-    }
-    if run("serve") {
-        let wall = std::time::Instant::now();
-        let report = run_serve_suite(scales.serve_log2n, &scales.profile);
-        println!(
-            "serve suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write(
-            "BENCH_serve.json",
-            report.render(),
-            report.experiments.len(),
-        );
-    }
-    if run("cpu") {
-        let wall = std::time::Instant::now();
-        let report = run_cpu_suite(scales.cpu_log2n, &scales.profile);
-        println!(
-            "cpu suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write("BENCH_cpu.json", report.render(), report.experiments.len());
-    }
-    if run("stream") {
-        let wall = std::time::Instant::now();
-        let report = run_stream_suite(scales.stream_log2n, &scales.profile);
-        println!(
-            "stream suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write(
-            "BENCH_stream.json",
-            report.render(),
-            report.experiments.len(),
-        );
-    }
-    if run("cluster") {
-        let wall = std::time::Instant::now();
-        let report = run_cluster_suite(scales.topk_log2n, &scales.profile);
-        println!(
-            "cluster suite: {} cells in {:.1}s host wall",
-            report.experiments.len(),
-            wall.elapsed().as_secs_f64()
-        );
-        write(
-            "BENCH_cluster.json",
-            report.render(),
-            report.experiments.len(),
-        );
     }
 }

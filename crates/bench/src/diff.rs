@@ -123,6 +123,10 @@ fn higher_is_better(metric: &str) -> bool {
 /// whole run and the claim is reported as a warning, not gated.
 pub const CPU_CLAIM_FLOOR_MS: f64 = 10.0;
 
+/// Smallest planner-grid size at which claim 12 gates; below it the
+/// claim only warns.
+pub const PLANNER_GATE_LOG2N: u32 = 18;
+
 /// Compares `current` against `baseline` under `cfg`. Claim checks (if
 /// enabled) run on the current report.
 pub fn diff_reports(
@@ -257,6 +261,8 @@ pub fn diff_reports(
 ///    (increasing) input costs at most 4× its uniform-input time — it
 ///    slows (every element passes the heap filter) but does not blow up.
 /// 8. **The static analyzer never drifts from the replay**: every cell
+///    that reports replayed coalescing or conflict metrics (every
+///    launch-window cell; model-only and query cells report neither)
 ///    must carry `sim_static_sectors_per_access` /
 ///    `sim_static_conflict_degree` (i.e. every launch declared an
 ///    access-spec contract) and each must be bit-identical to the
@@ -269,6 +275,11 @@ pub fn diff_reports(
 ///    size with `n ≥ 2^20`. Below 2^20 the delegate set is too coarse to
 ///    prune (at 2^16 there are only 32 subranges), so the bound is
 ///    reported as a warning, not gated.
+/// 12. **The six-way planner picks well**: on every cell of the planner
+///     grid (`planner/log2n<x>/k<k>/pick`), the pick's measured time is
+///     at most 1.25× the measured winner's (`sim_pick_over_best`). Gated
+///     at n ≥ 2^18 ([`PLANNER_GATE_LOG2N`]), the smallest size the grid
+///     ran at before it became harness cells; below that it warns.
 ///
 /// Serving reports (`kind == "serve"`):
 /// 4. **Concurrent serving beats serial** at the highest offered load:
@@ -327,6 +338,24 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
             )));
         }
         v
+    };
+
+    // claims 5 and 11a: every cell is bit-identical to its oracle
+    let all_exact = |oracle: &str, findings: &mut Vec<Finding>| {
+        for exp in &report.experiments {
+            findings.push(Finding::fail(match exp.metrics.get("sim_exact") {
+                Some(&1.0) => continue,
+                Some(&v) => format!(
+                    "claim violated: '{}' must be bit-identical to {oracle} \
+                     (sim_exact {v}, expected 1)",
+                    exp.id
+                ),
+                None => format!(
+                    "claim check needs '{}/sim_exact' but the cell lacks it",
+                    exp.id
+                ),
+            }));
+        }
     };
 
     match report.kind.as_str() {
@@ -454,8 +483,12 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
                 }
             }
             // 8. static lint predictions bit-match the measured metrics
-            // in every swept cell
-            for e in &report.experiments {
+            // in every cell that replayed its launches
+            let replayed = |e: &&crate::report::Experiment| {
+                e.metrics.contains_key("sim_sectors_per_access")
+                    || e.metrics.contains_key("sim_conflict_degree")
+            };
+            for e in report.experiments.iter().filter(replayed) {
                 for (stat, dynamic) in [
                     ("sim_static_sectors_per_access", "sim_sectors_per_access"),
                     ("sim_static_conflict_degree", "sim_conflict_degree"),
@@ -470,6 +503,33 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
                                 e.id
                             )));
                         }
+                    }
+                }
+            }
+            // 12. the six-way planner's pick stays near the winner
+            for x in crate::harness::planner_log2ns(report.scale.log2n) {
+                for k in crate::harness::PLANNER_KS {
+                    if k > 1 << x {
+                        continue;
+                    }
+                    let id = format!("planner/log2n{x}/k{k}/pick");
+                    let Some(ratio) = need(&id, "sim_pick_over_best", &mut findings) else {
+                        continue;
+                    };
+                    if ratio <= crate::harness::PLANNER_TOLERANCE {
+                        continue;
+                    }
+                    let msg = format!(
+                        "the six-way planner's pick at n=2^{x}, k={k} ('{id}') runs \
+                         {ratio:.2}x the measured winner's time, beyond the {}x tolerance",
+                        crate::harness::PLANNER_TOLERANCE
+                    );
+                    if x >= PLANNER_GATE_LOG2N {
+                        findings.push(Finding::fail(format!("claim violated: {msg}")));
+                    } else {
+                        findings.push(Finding::warn(format!(
+                            "{msg} — gated only at n >= 2^{PLANNER_GATE_LOG2N}"
+                        )));
                     }
                 }
             }
@@ -491,20 +551,7 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
         }
         "cluster" => {
             // 5. every cell must be oracle-exact
-            for exp in &report.experiments {
-                match exp.metrics.get("sim_exact") {
-                    Some(&1.0) => {}
-                    Some(&v) => findings.push(Finding::fail(format!(
-                        "claim violated: '{}' must be bit-identical to the single-device \
-                         oracle (sim_exact {v}, expected 1)",
-                        exp.id
-                    ))),
-                    None => findings.push(Finding::fail(format!(
-                        "claim check needs '{}/sim_exact' but the cell lacks it",
-                        exp.id
-                    ))),
-                }
-            }
+            all_exact("the single-device oracle", &mut findings);
             // 6. 8 devices halve the single-device time at full scale
             for policy in ["range", "hash", "round-robin"] {
                 let one = need(
@@ -572,20 +619,7 @@ pub fn check_claims(report: &BenchReport) -> Vec<Finding> {
         "stream" => {
             // 11a. exactness everywhere: maintained views and cached
             // reads are bit-identical to from-scratch execution
-            for exp in &report.experiments {
-                match exp.metrics.get("sim_exact") {
-                    Some(&1.0) => {}
-                    Some(&v) => findings.push(Finding::fail(format!(
-                        "claim violated: '{}' must be bit-identical to from-scratch \
-                         execution (sim_exact {v}, expected 1)",
-                        exp.id
-                    ))),
-                    None => findings.push(Finding::fail(format!(
-                        "claim check needs '{}/sim_exact' but the cell lacks it",
-                        exp.id
-                    ))),
-                }
-            }
+            all_exact("from-scratch execution", &mut findings);
             // 11b. small deltas must be cheap: maintenance traffic at
             // delta fraction <= 1/64 stays under 0.25x a rescan
             for denom in crate::harness::STREAM_FRACS {

@@ -1,18 +1,39 @@
-//! The unified benchmark harness: drives the paper's figure experiments
-//! and the qdb serving workload, collects per-run metrics from the
-//! simulator's counters plus host wall-clock, and emits versioned
-//! [`BenchReport`]s (`BENCH_topk.json` / `BENCH_serve.json`).
+//! The unified benchmark harness — the only place an experiment runs. It
+//! drives every paper figure plus the qdb serving, cluster, CPU and
+//! streaming workloads, collects per-run metrics from the simulator's
+//! counters plus host wall-clock, and emits versioned [`BenchReport`]s
+//! (`BENCH_<suite>.json`); [`crate::tables`] renders the paper's tables
+//! from them.
 //!
-//! Three top-k experiment families (the shapes behind Figures 11–13 and
-//! the robustness ablation) and one serving sweep:
+//! Top-k cell families (the figure each reproduces in parentheses):
 //!
-//! * `vary_k/uniform/<alg>/k<k>` — every [`TopKAlgorithm`] across the
-//!   paper's k sweep on uniform f32 keys;
-//! * `vary_n/uniform/<alg>/log2n<x>` — scaling in n at k = 64;
+//! * `vary_k/<input>/<alg>/k<k>` — algorithms across the paper's k
+//!   sweep: `uniform` f32 (11a, 15a, 17, 18a), `uniform-u32` (11b),
+//!   `uniform-f64` at n/2 (11c), `increasing` (12a, 15b, 18b),
+//!   `bucket-killer` (12b), and `decreasing` for the two per-thread
+//!   variants only (18c);
+//! * `vary_n/uniform/<alg>/log2n<x>` — scaling in n at k = 64 (13);
 //! * `dist/<distribution>/<alg>/k32` — the six-distribution robustness
 //!   sweep (skew claims are machine-checked from these cells);
-//! * `serve/load<q>` — the qdb serving layer under increasing offered
-//!   load (queries/sec, speedup over serial, latency percentiles).
+//! * `ept/b<B>` and `ladder/<level>` — bitonic top-32 per elements per
+//!   thread (8) and per cumulative optimization level (§4.3);
+//! * `kv/<kv|kkv|kkkv>/<alg>/k<k>` — key+value payloads at n/2 (14);
+//! * `mapd/q<1-4>/...` — the MapD integration queries (16);
+//! * `regime/<distribution>/per-thread/k8` — per-thread top-k at
+//!   4n elements on the 5-SM preset, the paper's elements-per-thread
+//!   regime (12a);
+//! * `hybrid/<alg>/k<k>` and `hybrid/split/gpu<pct>` — the algorithm
+//!   and CPU+GPU hybrids (§8);
+//! * `device/<preset>/k<k>/<alg>` — three algorithms on three GPU
+//!   generations (§7);
+//! * `planner/log2n<x>/k<k>/<alg>` — the six-way planner's grid;
+//! * `costmodel/k<k>` and every `.../pick` cell — model outputs only:
+//!   the Section 7 predictions (17) and each planner's pick time over
+//!   the measured winner's (`sim_pick_over_best`, claim 12).
+//!
+//! The serving suite's `serve/load<q>` cells put the qdb serving layer
+//! under increasing offered load; the cpu suite's `cpu-baseline/...`
+//! cells are the Figure 15 CPU baselines.
 //!
 //! Cells whose launch legitimately fails (per-thread top-k at k ≥ 512
 //! exceeds shared memory, Section 6.2) are omitted from the report; the
@@ -23,27 +44,36 @@ use std::time::Instant;
 
 use datagen::twitter::TweetTable;
 use datagen::{
-    BucketKiller, Clustered, Decreasing, Distribution, Increasing, Kv, Normal, TopKItem, Uniform,
+    BucketKiller, Clustered, Decreasing, Distribution, Increasing, Kkkv, Kkv, Kv, Normal, TopKItem,
+    Uniform,
 };
+use qdb::queries::{filtered_topk, group_topk, ranked_topk};
 use qdb::shard::{
     partition_indices, sharded_delegate_topk, sharded_topk, PartitionPolicy, ReplicationFactor,
     ShardedLoadReport, ShardedServer, ShardedTable,
 };
 use qdb::{
-    execute_sql, parse_sql, GpuTweetTable, QdbError, Server, ServerConfig, Strategy, SubmitOptions,
+    execute_sql, parse_sql, FilterOp, GpuTweetTable, QdbError, QueryResult, Server, ServerConfig,
+    Strategy, SubmitOptions, TopKStrategy,
 };
 use simt::topology::{Cluster, ClusterSpec};
-use simt::{Device, FaultPlan, GpuBuffer, LaunchWindow, SimTime};
-use topk::bitonic::{bitonic_topk, BitonicConfig};
+use simt::{Device, DeviceSpec, FaultPlan, GpuBuffer, LaunchReport, LaunchWindow, SimTime};
+use topk::bitonic::{bitonic_topk, BitonicConfig, OptLevel};
 use topk::delegate::{warm_delegate_index, DelegateConfig};
+use topk::hybrid::{cpu_gpu_topk, select_then_bitonic};
 use topk::{Backend, CpuBackend, TopKAlgorithm, TopKRequest};
-use topk_costmodel::{cluster_topk_seconds, ClusterModelInput};
+use topk_costmodel::planner::Algorithm;
+use topk_costmodel::{
+    bitonic_topk_seconds, cluster_topk_seconds, radix_select_seconds, recommend, recommend_full,
+    BitonicModelInput, ClusterModelInput, FullAlgorithm, ReductionProfile,
+};
+use topk_cpu::{CpuBitonic, CpuTopK, HandPq, StlPq};
 
 use crate::report::{current_commit, BenchReport, Experiment, Scale};
 use crate::K_SWEEP;
 
 /// The scales one harness invocation runs at, resolved from
-/// `TOPK_REPRO_LOG2N` (the same knob every experiment binary uses).
+/// `TOPK_REPRO_LOG2N`.
 #[derive(Debug, Clone)]
 pub struct HarnessScales {
     /// Element-count exponent for the top-k suite (default 22).
@@ -97,11 +127,65 @@ pub const DIST_SWEEP_K: usize = 32;
 /// Fixed k for the vary-n sweep (matches Figure 13).
 pub const VARY_N_K: usize = 64;
 
-fn run_cell(
+/// The k sweep of the six-way planner grid.
+pub const PLANNER_KS: [usize; 5] = [1, 16, 64, 256, 1024];
+
+/// A planner pick whose measured time is within this factor of the
+/// measured winner's is a near-miss, not a miss (claim 12).
+pub const PLANNER_TOLERANCE: f64 = 1.25;
+
+/// The planner grid's sizes: 2^(L−4), 2^(L−2) and 2^L — exactly 2^18,
+/// 2^20 and 2^22 at the full profile.
+pub fn planner_log2ns(log2n: u32) -> [u32; 3] {
+    [log2n.saturating_sub(4), log2n.saturating_sub(2), log2n]
+}
+
+/// Elements per thread of the Figure 8 sweep.
+pub const EPT_SWEEP: [usize; 5] = [4, 8, 16, 32, 64];
+
+/// GPU shares (percent) of the CPU+GPU hybrid split.
+pub const HYBRID_GPU_PCTS: [u32; 5] = [0, 50, 80, 95, 100];
+
+/// The LIMITs of MapD Q2 (Figure 16b).
+pub const MAPD_Q2_KS: [usize; 5] = [16, 32, 64, 128, 256];
+
+/// The LIMITs of MapD Q3.
+pub const MAPD_Q3_KS: [usize; 3] = [16, 64, 256];
+
+/// The GPU generations of the device-preset family, by stable name.
+pub fn device_presets() -> [(&'static str, DeviceSpec); 3] {
+    [
+        ("titan-x-maxwell", DeviceSpec::titan_x_maxwell()),
+        ("titan-x-pascal", DeviceSpec::titan_x_pascal()),
+        ("tesla-v100", DeviceSpec::tesla_v100()),
+    ]
+}
+
+fn cell(id: String, metrics: &[(&str, f64)]) -> Experiment {
+    Experiment {
+        id,
+        metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+    }
+}
+
+fn report(kind: &str, log2n: u32, profile: &str, experiments: Vec<Experiment>) -> BenchReport {
+    BenchReport {
+        kind: kind.to_string(),
+        commit: current_commit(),
+        scale: Scale {
+            log2n,
+            profile: profile.to_string(),
+        },
+        experiments,
+    }
+}
+
+fn run_cell<T: TopKItem>(
     dev: &Device,
     alg: &TopKAlgorithm,
-    input: &GpuBuffer<f32>,
+    input: &GpuBuffer<T>,
     k: usize,
+    id: String,
 ) -> Option<Experiment> {
     dev.take_lint_reports(); // bound accumulation across the sweep
     let wall = Instant::now();
@@ -127,81 +211,369 @@ fn run_cell(
         metrics.push(("sim_static_sectors_per_access", p.sectors_per_access()));
         metrics.push(("sim_static_conflict_degree", p.avg_conflict_degree()));
     }
-    Some(Experiment {
-        id: String::new(),
-        metrics: metrics
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    })
+    Some(cell(id, &metrics))
+}
+
+/// Runs `algs` × `ks` (k ≤ n) over `data` on a fresh lint-enabled
+/// `spec` device, one cell per successful run, named `id(alg, k)`.
+/// Delegate cells measure warm queries: the index builds once per
+/// buffer, and its extraction launch lands outside every cell window.
+fn sweep<T: TopKItem>(
+    out: &mut Vec<Experiment>,
+    spec: DeviceSpec,
+    data: &[T],
+    algs: &[TopKAlgorithm],
+    ks: &[usize],
+    id: impl Fn(&str, usize) -> String,
+) {
+    let dev = Device::new(spec);
+    dev.enable_lint();
+    let input = dev.upload(data);
+    if algs
+        .iter()
+        .any(|a| matches!(a, TopKAlgorithm::DelegateSelect(_)))
+    {
+        warm_delegate_index(&dev, &input, DelegateConfig::default()).expect("delegate index");
+    }
+    for alg in algs {
+        for &k in ks.iter().filter(|&&k| k <= data.len()) {
+            out.extend(run_cell(&dev, alg, &input, k, id(alg.name(), k)));
+        }
+    }
+}
+
+/// Pushes `<prefix>/pick`: the measured time of a planner's `pick` over
+/// the fastest measured `<prefix>/<alg>` cell. Omitted when the pick
+/// could not run, so claim 12 fails it as unverifiable.
+fn push_pick(out: &mut Vec<Experiment>, prefix: String, pick: &str) {
+    let times: Vec<(&str, f64)> = out
+        .iter()
+        .filter_map(|e| {
+            let alg = e.id.strip_prefix(&prefix)?.strip_prefix('/')?;
+            Some((alg, e.metrics["sim_time_ms"]))
+        })
+        .collect();
+    let best = times.iter().map(|t| t.1).fold(f64::MAX, f64::min);
+    if let Some(&(_, t)) = times.iter().find(|(alg, _)| *alg == pick) {
+        let pick = cell(
+            format!("{prefix}/pick"),
+            &[("sim_pick_over_best", t / best)],
+        );
+        out.push(pick);
+    }
+}
+
+/// One bitonic top-32 run at `cfg`, with the shared-memory counters
+/// that explain Figure 8 and the optimization ladder.
+fn bitonic_cell(
+    dev: &Device,
+    input: &GpuBuffer<f32>,
+    cfg: BitonicConfig,
+    id: String,
+) -> Experiment {
+    let r = bitonic_topk(dev, input, 32, cfg).expect("bitonic top-32");
+    let sum = |f: fn(&LaunchReport) -> f64| r.reports.iter().map(f).sum::<f64>();
+    let first_occupancy = r.reports.first().map_or(0.0, |x| x.occupancy.occupancy);
+    cell(
+        id,
+        &[
+            ("sim_time_ms", r.time.millis()),
+            ("sim_shared_ms", sum(|x| x.t_shared.millis())),
+            ("sim_shared_bytes", sum(|x| x.stats.shared_eff_bytes as f64)),
+            (
+                "sim_conflict_cycles",
+                sum(|x| x.stats.shared_conflict_cycles as f64),
+            ),
+            ("sim_first_occupancy", first_occupancy),
+            ("sim_launches", r.reports.len() as f64),
+        ],
+    )
+}
+
+fn full_alg(f: FullAlgorithm) -> TopKAlgorithm {
+    match f {
+        FullAlgorithm::Sort => TopKAlgorithm::Sort,
+        FullAlgorithm::PerThread => TopKAlgorithm::PerThread,
+        FullAlgorithm::RadixSelect => TopKAlgorithm::RadixSelect,
+        FullAlgorithm::BucketSelect => TopKAlgorithm::BucketSelect,
+        FullAlgorithm::BitonicTopK => TopKAlgorithm::Bitonic(BitonicConfig::default()),
+        FullAlgorithm::DelegateSelect => TopKAlgorithm::DelegateSelect(DelegateConfig::default()),
+    }
 }
 
 /// Runs the top-k suite at `2^log2n` elements and returns its report.
 pub fn run_topk_suite(log2n: u32, profile: &str) -> BenchReport {
-    let mut experiments = Vec::new();
+    let n = 1usize << log2n;
+    let titan = DeviceSpec::titan_x_maxwell();
     let algs = TopKAlgorithm::all();
+    let mut out = Vec::new();
 
     // vary-k on uniform f32 (the Figure 11a shape)
-    {
-        let dev = Device::titan_x();
-        dev.enable_lint();
-        let data: Vec<f32> = Uniform.generate(1 << log2n, 11);
-        let input = dev.upload(&data);
-        // delegate cells measure warm queries: the index builds once per
-        // buffer (the extraction launch lands outside every cell window)
-        warm_delegate_index(&dev, &input, DelegateConfig::default()).expect("delegate index");
-        for alg in &algs {
-            for k in K_SWEEP {
-                if let Some(mut e) = run_cell(&dev, alg, &input, k) {
-                    e.id = format!("vary_k/uniform/{}/k{k}", alg.name());
-                    experiments.push(e);
-                }
-            }
-        }
-    }
+    let uniform: Vec<f32> = Uniform.generate(n, 11);
+    sweep(&mut out, titan, &uniform, &algs, &K_SWEEP, |a, k| {
+        format!("vary_k/uniform/{a}/k{k}")
+    });
 
     // vary-n at k = 64 (the Figure 13 shape)
-    {
-        let start = log2n.min(14);
-        for x in (start..=log2n).step_by(2) {
-            let dev = Device::titan_x();
-            dev.enable_lint();
-            let data: Vec<f32> = Uniform.generate(1 << x, 13);
-            let input = dev.upload(&data);
-            warm_delegate_index(&dev, &input, DelegateConfig::default()).expect("delegate index");
-            for alg in &algs {
-                if let Some(mut e) = run_cell(&dev, alg, &input, VARY_N_K) {
-                    e.id = format!("vary_n/uniform/{}/log2n{x}", alg.name());
-                    experiments.push(e);
-                }
-            }
-        }
+    for x in (log2n.min(14)..=log2n).step_by(2) {
+        let data: Vec<f32> = Uniform.generate(1 << x, 13);
+        sweep(&mut out, titan, &data, &algs, &[VARY_N_K], |a, _| {
+            format!("vary_n/uniform/{a}/log2n{x}")
+        });
     }
 
     // distribution robustness at k = 32 (the skew-claim cells)
     for (name, dist) in distributions() {
-        let dev = Device::titan_x();
-        dev.enable_lint();
-        let data: Vec<f32> = dist.generate(1 << log2n, 40);
-        let input = dev.upload(&data);
-        warm_delegate_index(&dev, &input, DelegateConfig::default()).expect("delegate index");
-        for alg in &algs {
-            if let Some(mut e) = run_cell(&dev, alg, &input, DIST_SWEEP_K) {
-                e.id = format!("dist/{name}/{}/k{}", alg.name(), DIST_SWEEP_K);
-                experiments.push(e);
+        sweep(
+            &mut out,
+            titan,
+            &dist.generate(n, 40),
+            &algs,
+            &[DIST_SWEEP_K],
+            |a, k| format!("dist/{name}/{a}/k{k}"),
+        );
+    }
+
+    // the other vary-k inputs: Figures 11b, 11c (half the elements, the
+    // same bytes), 12a and 12b, and the decreasing panel of Figure 18
+    let u32_keys: Vec<u32> = Uniform.generate(n, 12);
+    sweep(&mut out, titan, &u32_keys, &algs, &K_SWEEP, |a, k| {
+        format!("vary_k/uniform-u32/{a}/k{k}")
+    });
+    let f64_keys: Vec<f64> = Uniform.generate(n / 2, 13);
+    sweep(&mut out, titan, &f64_keys, &algs, &K_SWEEP, |a, k| {
+        format!("vary_k/uniform-f64/{a}/k{k}")
+    });
+    let increasing: Vec<f32> = Increasing.generate(n, 14);
+    sweep(&mut out, titan, &increasing, &algs, &K_SWEEP, |a, k| {
+        format!("vary_k/increasing/{a}/k{k}")
+    });
+    let bucket_killer: Vec<f32> = BucketKiller.generate(n, 15);
+    sweep(&mut out, titan, &bucket_killer, &algs, &K_SWEEP, |a, k| {
+        format!("vary_k/bucket-killer/{a}/k{k}")
+    });
+    let per_thread = [TopKAlgorithm::PerThread, TopKAlgorithm::PerThreadRegisters];
+    let decreasing: Vec<f32> = Decreasing.generate(n, 22);
+    sweep(
+        &mut out,
+        titan,
+        &decreasing,
+        &per_thread,
+        &K_SWEEP[..9],
+        |a, k| format!("vary_k/decreasing/{a}/k{k}"),
+    );
+
+    // Figure 8 and the Section 4.3 ladder
+    let ept_keys: Vec<f32> = Uniform.generate(n, 23);
+    let dev = Device::new(titan);
+    let input = dev.upload(&ept_keys);
+    for b in EPT_SWEEP {
+        let cfg = BitonicConfig::with_elems_per_thread(b);
+        out.push(bitonic_cell(&dev, &input, cfg, format!("ept/b{b}")));
+    }
+    let ladder_keys: Vec<f32> = Uniform.generate(n, 24);
+    let dev = Device::new(titan);
+    let input = dev.upload(&ladder_keys);
+    for opt in OptLevel::ladder() {
+        let id = format!("ladder/{}", opt.name());
+        out.push(bitonic_cell(&dev, &input, BitonicConfig::at_level(opt), id));
+    }
+
+    // Figure 14: key(s)+value payloads at n/2 (the paper's 2^28)
+    {
+        let m = n / 2;
+        let keys: [Vec<f32>; 3] = [17, 18, 19].map(|seed| Uniform.generate(m, seed));
+        let two = [
+            TopKAlgorithm::RadixSelect,
+            TopKAlgorithm::Bitonic(BitonicConfig::default()),
+        ];
+        let kv: Vec<_> = (0..m).map(|i| Kv::new(keys[0][i], i as u32)).collect();
+        sweep(&mut out, titan, &kv, &two, &K_SWEEP, |a, k| {
+            format!("kv/kv/{a}/k{k}")
+        });
+        let kkv: Vec<_> = (0..m)
+            .map(|i| Kkv::new(keys[0][i], keys[1][i], i as u32))
+            .collect();
+        sweep(&mut out, titan, &kkv, &two, &K_SWEEP, |a, k| {
+            format!("kv/kkv/{a}/k{k}")
+        });
+        let kkkv: Vec<_> = (0..m)
+            .map(|i| Kkkv::new(keys[0][i], keys[1][i], keys[2][i], i as u32))
+            .collect();
+        sweep(&mut out, titan, &kkkv, &two, &K_SWEEP, |a, k| {
+            format!("kv/kkkv/{a}/k{k}")
+        });
+    }
+
+    // Figure 16: the MapD integration queries on 2^min(log2n, 19) tweets
+    {
+        let host = TweetTable::generate(1 << log2n.min(19), 2017);
+        let dev = Device::new(titan);
+        let table = GpuTweetTable::upload(&dev, &host);
+        let ms = |r: Result<QueryResult, QdbError>| r.expect("MapD query").kernel_time.millis();
+        let mut push = |id: String, t: f64| out.push(cell(id, &[("sim_time_ms", t)]));
+        for s in 0..=10 {
+            let op = FilterOp::TimeLess(host.time_cutoff_for_selectivity(s as f64 / 10.0));
+            for st in Strategy::all() {
+                let t = ms(filtered_topk(&dev, &table, &op, 50, st));
+                push(format!("mapd/q1/sel{}/{}", s * 10, st.name()), t);
             }
+        }
+        for k in MAPD_Q2_KS {
+            for st in Strategy::all() {
+                push(
+                    format!("mapd/q2/k{k}/{}", st.name()),
+                    ms(ranked_topk(&dev, &table, k, st)),
+                );
+            }
+        }
+        let lang = FilterOp::LangIn(vec![0, 1]);
+        for k in MAPD_Q3_KS {
+            for st in Strategy::all() {
+                let t = ms(filtered_topk(&dev, &table, &lang, k, st));
+                push(format!("mapd/q3/k{k}/{}", st.name()), t);
+            }
+        }
+        for (name, st) in [
+            ("sort", TopKStrategy::Sort),
+            ("bitonic", TopKStrategy::Bitonic),
+        ] {
+            let r = group_topk(&dev, &table, 50, st).expect("MapD query");
+            let group: f64 = r
+                .breakdown
+                .iter()
+                .filter(|(kernel, _)| kernel.contains("group"))
+                .map(|(_, t)| t.millis())
+                .sum();
+            let total = r.kernel_time.millis();
+            out.push(cell(
+                format!("mapd/q4/{name}"),
+                &[
+                    ("sim_time_ms", total),
+                    ("sim_group_ms", group),
+                    ("sim_topk_ms", total - group),
+                ],
+            ));
         }
     }
 
-    BenchReport {
-        kind: "topk".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
+    // Figure 12a's regime: per-thread top-8 at 4n elements on the 5-SM
+    // preset (~3300 elements per thread at the full profile; the paper's
+    // 2^29 gives ~11000), where sorted input's penalty shows
+    for (name, dist) in distributions() {
+        if ["uniform", "increasing", "decreasing"].contains(&name) {
+            let spec = DeviceSpec::small_mobile();
+            sweep(
+                &mut out,
+                spec,
+                &dist.generate(n << 2, 70),
+                &per_thread[..1],
+                &[8],
+                |a, k| format!("regime/{name}/{a}/k{k}"),
+            );
+        }
     }
+
+    // Section 8 hybrids: select→bitonic against the pure algorithms, and
+    // the CPU+GPU device split (GPU modeled, CPU measured)
+    {
+        let data: Vec<f32> = Uniform.generate(n, 55);
+        let two = [
+            TopKAlgorithm::Bitonic(BitonicConfig::default()),
+            TopKAlgorithm::RadixSelect,
+        ];
+        sweep(&mut out, titan, &data, &two, &K_SWEEP, |a, k| {
+            format!("hybrid/{a}/k{k}")
+        });
+        let dev = Device::new(titan);
+        let input = dev.upload(&data);
+        for k in K_SWEEP.into_iter().filter(|&k| k <= n) {
+            let t = select_then_bitonic(&dev, &input, k)
+                .expect("hybrid top-k")
+                .time;
+            let id = format!("hybrid/select-bitonic/k{k}");
+            out.push(cell(id, &[("sim_time_ms", t.millis())]));
+        }
+        let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
+        for pct in HYBRID_GPU_PCTS {
+            let frac = f64::from(pct) / 100.0;
+            let r = cpu_gpu_topk(&dev, &data, 32, frac, threads).expect("cpu+gpu top-k");
+            out.push(cell(
+                format!("hybrid/split/gpu{pct}"),
+                &[
+                    ("sim_gpu_fraction", r.gpu_fraction),
+                    ("sim_gpu_ms", r.gpu_time.millis()),
+                    ("host_cpu_ms", r.cpu_seconds * 1e3),
+                    ("host_combined_ms", r.combined_seconds * 1e3),
+                ],
+            ));
+        }
+    }
+
+    // Section 7 across GPU generations: the three-way planner's pick
+    // against the measured winner on each preset
+    let three = [
+        TopKAlgorithm::Bitonic(BitonicConfig::default()),
+        TopKAlgorithm::RadixSelect,
+        TopKAlgorithm::DelegateSelect(DelegateConfig::default()),
+    ];
+    let data: Vec<f32> = Uniform.generate(n, 99);
+    for (preset, spec) in device_presets() {
+        sweep(&mut out, spec, &data, &three, &K_SWEEP, |a, k| {
+            format!("device/{preset}/k{k}/{a}")
+        });
+        for k in K_SWEEP.into_iter().filter(|&k| k <= n) {
+            let pick = match recommend(&spec, n, k, 4, &ReductionProfile::UniformFloats).algorithm {
+                Algorithm::BitonicTopK => three[0],
+                Algorithm::RadixSelect => three[1],
+                Algorithm::DelegateSelect => three[2],
+            };
+            push_pick(&mut out, format!("device/{preset}/k{k}"), pick.name());
+        }
+    }
+
+    // the six-way planner (`recommend_full`) against the measured winner
+    // over an (n, k) grid (claim 12)
+    let six: Vec<_> = algs
+        .iter()
+        .filter(|a| !matches!(a, TopKAlgorithm::PerThreadRegisters))
+        .copied()
+        .collect();
+    for x in planner_log2ns(log2n) {
+        let data: Vec<f32> = Uniform.generate(1 << x, 60 + u64::from(x));
+        sweep(&mut out, titan, &data, &six, &PLANNER_KS, |a, k| {
+            format!("planner/log2n{x}/k{k}/{a}")
+        });
+        for k in PLANNER_KS.into_iter().filter(|&k| k <= 1 << x) {
+            let ranked = recommend_full(&titan, 1 << x, k, 4, &ReductionProfile::UniformFloats);
+            let pick = full_alg(ranked[0].algorithm);
+            push_pick(&mut out, format!("planner/log2n{x}/k{k}"), pick.name());
+        }
+    }
+
+    // Figure 17's predictions (the measured columns are vary_k/uniform)
+    for k in K_SWEEP {
+        let radix = radix_select_seconds(&titan, n, 4, &ReductionProfile::UniformFloats);
+        let bitonic = bitonic_topk_seconds(
+            &titan,
+            BitonicModelInput {
+                n,
+                k,
+                item_bytes: 4,
+                elems_per_thread: 16,
+                conflict_degree: if k <= 256 { 1.0 } else { 1.3 },
+            },
+        );
+        out.push(cell(
+            format!("costmodel/k{k}"),
+            &[
+                ("sim_radix_model_ms", radix * 1e3),
+                ("sim_bitonic_model_ms", bitonic * 1e3),
+            ],
+        ));
+    }
+
+    report("topk", log2n, profile, out)
 }
 
 /// Device counts the cluster suite sweeps.
@@ -297,13 +669,10 @@ pub fn run_cluster_suite(log2n: u32, profile: &str) -> BenchReport {
                 ("sim_model_ms", est.total_seconds() * 1e3),
                 ("host_wall_ms", host_wall_ms),
             ];
-            experiments.push(Experiment {
-                id: format!("cluster/{}/dev{devices}", policy.name()),
-                metrics: metrics
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            });
+            experiments.push(cell(
+                format!("cluster/{}/dev{devices}", policy.name()),
+                &metrics,
+            ));
         }
     }
 
@@ -332,13 +701,10 @@ pub fn run_cluster_suite(log2n: u32, profile: &str) -> BenchReport {
             ("sim_exact", f64::from(r.items == oracle)),
             ("host_wall_ms", host_wall_ms),
         ];
-        experiments.push(Experiment {
-            id: format!("cluster/delegate-{}/dev{devices}", policy.name()),
-            metrics: metrics
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
+        experiments.push(cell(
+            format!("cluster/delegate-{}/dev{devices}", policy.name()),
+            &metrics,
+        ));
     }
 
     // availability under permanent device loss: a replicated sharded
@@ -425,25 +791,11 @@ pub fn run_cluster_suite(log2n: u32, profile: &str) -> BenchReport {
                 ("sim_loss_makespan_ms", b.makespan.millis()),
                 ("host_wall_ms", host_wall_ms),
             ];
-            experiments.push(Experiment {
-                id: format!("cluster/avail/r{r_factor}"),
-                metrics: metrics
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            });
+            experiments.push(cell(format!("cluster/avail/r{r_factor}"), &metrics));
         }
     }
 
-    BenchReport {
-        kind: "cluster".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
-    }
+    report("cluster", log2n, profile, experiments)
 }
 
 /// The worker-thread sweep of the CPU backend suite.
@@ -463,7 +815,9 @@ pub const CPU_SUITE_REPS: usize = 3;
 /// metrics — there is nothing modeled here, every number is wall-clock
 /// from [`topk::ExecReport`]. The scaling claim (multi-thread beats
 /// single-thread, checked by `bench-diff`) reads the `t1` cell against
-/// the rest of the sweep.
+/// the rest of the sweep. The `cpu-baseline/<input>/<alg>/k<k>` cells
+/// time the three `topk-cpu` baselines of Figure 15 on uniform and
+/// increasing keys.
 pub fn run_cpu_suite(log2n: u32, profile: &str) -> BenchReport {
     let n = 1usize << log2n;
     let data: Vec<f32> = Uniform.generate(n, 31);
@@ -493,15 +847,33 @@ pub fn run_cpu_suite(log2n: u32, profile: &str) -> BenchReport {
         }
     }
 
-    BenchReport {
-        kind: "cpu".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
+    // Figure 15's CPU baselines, best of CPU_SUITE_REPS on every core
+    // (the GPU columns are the topk suite's vary_k cells)
+    let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
+    let baselines: [&dyn CpuTopK<f32>; 3] = [&StlPq, &HandPq, &CpuBitonic::default()];
+    let increasing: Vec<f32> = Increasing.generate(n, 20);
+    for (dist, data) in [
+        ("uniform", Uniform.generate(n, 20)),
+        ("increasing", increasing),
+    ] {
+        for alg in baselines {
+            for k in K_SWEEP.into_iter().filter(|&k| k <= 256 && k <= n) {
+                let best = (0..CPU_SUITE_REPS)
+                    .map(|_| {
+                        let wall = Instant::now();
+                        assert_eq!(alg.topk(&data, k, threads).len(), k);
+                        wall.elapsed().as_secs_f64() * 1e3
+                    })
+                    .fold(f64::MAX, f64::min);
+                experiments.push(cell(
+                    format!("cpu-baseline/{dist}/{}/k{k}", alg.name()),
+                    &[("host_wall_ms", best), ("host_threads", threads as f64)],
+                ));
+            }
+        }
     }
+
+    report("cpu", log2n, profile, experiments)
 }
 
 /// The offered-load sweep of the serving suite.
@@ -514,7 +886,8 @@ pub fn run_serve_suite(log2n: u32, profile: &str) -> BenchReport {
     let dev = Device::titan_x();
     let table = GpuTweetTable::upload(&dev, &host);
 
-    // the serve_load workload: Q1 shape, selectivity 5–15%, k in 8..64
+    // the Q1 shape at low selectivity (5–15%), k in 8..64: small queries
+    // that cannot fill the device alone, the regime serving exists for
     let sql_for = |i: usize| {
         let sel = 0.05 + 0.1 * (i % 16) as f64 / 16.0;
         let cutoff = host.time_cutoff_for_selectivity(sel);
@@ -543,24 +916,10 @@ pub fn run_serve_suite(log2n: u32, profile: &str) -> BenchReport {
             ("host_wall_ms", report.host_wall.as_secs_f64() * 1e3),
             ("host_qps", report.host_queries_per_sec()),
         ];
-        experiments.push(Experiment {
-            id: format!("serve/load{load}"),
-            metrics: metrics
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
+        experiments.push(cell(format!("serve/load{load}"), &metrics));
     }
 
-    BenchReport {
-        kind: "serve".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
-    }
+    report("serve", log2n, profile, experiments)
 }
 
 /// Delta denominators the streaming view suite sweeps: each cell appends
@@ -637,13 +996,7 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
             ("sim_exact", f64::from(r.ids == rescan.ids)),
             ("host_wall_ms", host_wall_ms),
         ];
-        experiments.push(Experiment {
-            id: format!("stream/view/frac{denom}"),
-            metrics: metrics
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
+        experiments.push(cell(format!("stream/view/frac{denom}"), &metrics));
     }
 
     for period in STREAM_MIX_PERIODS {
@@ -714,24 +1067,10 @@ pub fn run_stream_suite(log2n: u32, profile: &str) -> BenchReport {
             ("sim_cache_refreshes", cache_refreshes as f64),
             ("host_wall_ms", host_wall_ms),
         ];
-        experiments.push(Experiment {
-            id: format!("stream/mix/period{period}"),
-            metrics: metrics
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        });
+        experiments.push(cell(format!("stream/mix/period{period}"), &metrics));
     }
 
-    BenchReport {
-        kind: "stream".to_string(),
-        commit: current_commit(),
-        scale: Scale {
-            log2n,
-            profile: profile.to_string(),
-        },
-        experiments,
-    }
+    report("stream", log2n, profile, experiments)
 }
 
 #[cfg(test)]
@@ -752,12 +1091,38 @@ mod tests {
         // skew cells present for the claim checks
         assert!(r.experiment("dist/increasing/per-thread/k32").is_some());
         assert!(r.experiment("dist/uniform/per-thread/k32").is_some());
+        // every figure family at its expected size: per-thread top-k
+        // cannot launch at k >= 512 (k >= 256 for f64), and the n/2 and
+        // planner families keep k <= n
+        for (family, cells) in [
+            ("vary_k/uniform/", 75),
+            ("vary_n/", 7),
+            ("dist/", 42),
+            ("vary_k/uniform-u32/", 75),
+            ("vary_k/uniform-f64/", 68),
+            ("vary_k/increasing/", 75),
+            ("vary_k/bucket-killer/", 75),
+            ("vary_k/decreasing/", 18),
+            ("ept/", EPT_SWEEP.len()),
+            ("ladder/", 7),
+            ("kv/", 60),
+            ("mapd/", 59),
+            ("regime/", 3),
+            ("hybrid/", 38),
+            ("device/", 132),
+            ("planner/", 83),
+            ("costmodel/", K_SWEEP.len()),
+        ] {
+            let got = r.experiments.iter().filter(|e| e.id.starts_with(family));
+            assert_eq!(got.count(), cells, "{family}");
+        }
         // serializes to a document that re-validates
         let parsed = Parsed::from_json(&r.render()).expect("schema-valid");
         assert_eq!(parsed.experiments.len(), r.experiments.len());
 
         // deterministic sim metrics: a second run reproduces exact bits
         let r2 = run_topk_suite(10, "test");
+        assert_eq!(r.experiments.len(), r2.experiments.len());
         for (a, b) in r.experiments.iter().zip(&r2.experiments) {
             assert_eq!(a.id, b.id);
             for (name, v) in &a.metrics {
@@ -832,9 +1197,15 @@ mod tests {
     fn cpu_suite_produces_a_host_only_schema_valid_report() {
         let r = run_cpu_suite(12, "test");
         assert_eq!(r.kind, "cpu");
+        let baselines = r
+            .experiments
+            .iter()
+            .filter(|e| e.id.starts_with("cpu-baseline/"));
+        // three baselines × two inputs × k in 1..=256
+        assert_eq!(baselines.count(), 3 * 2 * 9);
         assert_eq!(
             r.experiments.len(),
-            TopKAlgorithm::all().len() * CPU_THREAD_SWEEP.len()
+            TopKAlgorithm::all().len() * CPU_THREAD_SWEEP.len() + 3 * 2 * 9
         );
         for e in &r.experiments {
             // nothing modeled here: every metric is wall-clock
@@ -851,6 +1222,14 @@ mod tests {
             assert!(r.experiment(&format!("cpu/bitonic/t{threads}")).is_some());
         }
         Parsed::from_json(&r.render()).expect("schema-valid");
+        // the same cells, in the same order, on every run
+        let ids = |r: &BenchReport| {
+            r.experiments
+                .iter()
+                .map(|e| e.id.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(&r), ids(&run_cpu_suite(12, "test")));
     }
 
     #[test]

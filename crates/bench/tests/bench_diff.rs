@@ -273,10 +273,15 @@ fn scale_or_kind_mismatch_fails_before_comparing() {
     assert!(diff_reports(&base, &cur, &cfg()).failed());
 }
 
-/// A minimal claim-satisfying topk report: bitonic beats sort on every
-/// vary-k cell, bitonic time is flat across distributions, per-thread on
-/// sorted input stays within 4x of uniform.
+/// A minimal claim-satisfying topk report at 2^16: bitonic beats sort on
+/// every vary-k cell, bitonic time is flat across distributions,
+/// per-thread on sorted input stays within 4x of uniform, and every
+/// planner pick is the winner.
 fn claim_clean_topk() -> BenchReport {
+    claim_clean_topk_at(16)
+}
+
+fn claim_clean_topk_at(log2n: u32) -> BenchReport {
     let mut exps = Vec::new();
     for k in bench::K_SWEEP {
         exps.push(exp(
@@ -315,7 +320,72 @@ fn claim_clean_topk() -> BenchReport {
             e.metrics.insert(m.to_string(), v);
         }
     }
-    report("topk", exps)
+    // model-only cells replay nothing, so claim 8 does not apply
+    for x in bench::harness::planner_log2ns(log2n) {
+        for k in bench::harness::PLANNER_KS {
+            if k <= 1 << x {
+                exps.push(exp(
+                    &format!("planner/log2n{x}/k{k}/pick"),
+                    &[("sim_pick_over_best", 1.0)],
+                ));
+            }
+        }
+    }
+    let mut r = report("topk", exps);
+    r.scale = Scale::new(log2n);
+    r
+}
+
+/// `report` with one planner pick at `ratio` × the measured winner.
+fn with_pick(mut r: BenchReport, id: &str, ratio: f64) -> BenchReport {
+    let e = r.experiments.iter_mut().find(|e| e.id == id).expect(id);
+    e.metrics.insert("sim_pick_over_best".to_string(), ratio);
+    r
+}
+
+#[test]
+fn planner_claim_fails_from_2_18_and_warns_below() {
+    // a 1.3x miss at n = 2^18 fails the gate and names the cell...
+    let r = with_pick(claim_clean_topk_at(18), "planner/log2n18/k256/pick", 1.3);
+    let findings = check_claims(&r);
+    assert!(
+        findings.iter().any(
+            |f| f.severity == Severity::Fail && f.message.contains("planner/log2n18/k256/pick")
+        ),
+        "{findings:?}"
+    );
+    // ...a near-miss within 1.25x passes...
+    let r = with_pick(claim_clean_topk_at(18), "planner/log2n18/k256/pick", 1.25);
+    let findings = check_claims(&r);
+    assert!(
+        findings.iter().all(|f| f.severity != Severity::Fail),
+        "{findings:?}"
+    );
+    // ...and the same miss at 2^16 only warns
+    let r = with_pick(claim_clean_topk_at(16), "planner/log2n16/k256/pick", 1.3);
+    let findings = check_claims(&r);
+    assert!(
+        findings.iter().all(|f| f.severity != Severity::Fail),
+        "{findings:?}"
+    );
+    assert!(
+        findings.iter().any(
+            |f| f.severity == Severity::Warn && f.message.contains("planner/log2n16/k256/pick")
+        ),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn missing_planner_cells_fail_the_planner_claim() {
+    let mut r = claim_clean_topk_at(18);
+    r.experiments.retain(|e| e.id != "planner/log2n16/k64/pick");
+    let findings = check_claims(&r);
+    assert!(
+        findings.iter().any(|f| f.severity == Severity::Fail
+            && f.message.contains("planner/log2n16/k64/pick")),
+        "{findings:?}"
+    );
 }
 
 #[test]
