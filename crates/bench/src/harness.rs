@@ -33,7 +33,8 @@
 //!
 //! The serving suite's `serve/load<q>` cells put the qdb serving layer
 //! under increasing offered load; the cpu suite's `cpu-baseline/...`
-//! cells are the Figure 15 CPU baselines.
+//! cells are the Figure 15 CPU baselines, and its `cpu-engine/...` cells
+//! time the qdb CPU engine's fused scan per query shape.
 //!
 //! Cells whose launch legitimately fails (per-thread top-k at k ≥ 512
 //! exceeds shared memory, Section 6.2) are omitted from the report; the
@@ -53,15 +54,15 @@ use qdb::shard::{
     ShardedLoadReport, ShardedServer, ShardedTable,
 };
 use qdb::{
-    execute_sql, parse_sql, FilterOp, GpuTweetTable, QdbError, QueryResult, Server, ServerConfig,
-    Strategy, SubmitOptions, TopKStrategy,
+    execute_on, execute_sql, parse_sql, BackendTable, FilterOp, GpuTweetTable, QdbError,
+    QueryResult, Server, ServerConfig, Strategy, SubmitOptions, TopKStrategy,
 };
 use simt::topology::{Cluster, ClusterSpec};
 use simt::{Device, DeviceSpec, FaultPlan, GpuBuffer, LaunchReport, LaunchWindow, SimTime};
 use topk::bitonic::{bitonic_topk, BitonicConfig, OptLevel};
 use topk::delegate::{warm_delegate_index, DelegateConfig};
 use topk::hybrid::{cpu_gpu_topk, select_then_bitonic};
-use topk::{Backend, CpuBackend, TopKAlgorithm, TopKRequest};
+use topk::{Backend, CpuBackend, ExecBackend, TopKAlgorithm, TopKRequest};
 use topk_costmodel::planner::Algorithm;
 use topk_costmodel::{
     bitonic_topk_seconds, cluster_topk_seconds, radix_select_seconds, recommend, recommend_full,
@@ -817,7 +818,8 @@ pub const CPU_SUITE_REPS: usize = 3;
 /// single-thread, checked by `bench-diff`) reads the `t1` cell against
 /// the rest of the sweep. The `cpu-baseline/<input>/<alg>/k<k>` cells
 /// time the three `topk-cpu` baselines of Figure 15 on uniform and
-/// increasing keys.
+/// increasing keys, and the `cpu-engine/...` cells time the qdb CPU engine
+/// (see `cpu_engine_cells`).
 pub fn run_cpu_suite(log2n: u32, profile: &str) -> BenchReport {
     let n = 1usize << log2n;
     let data: Vec<f32> = Uniform.generate(n, 31);
@@ -873,7 +875,84 @@ pub fn run_cpu_suite(log2n: u32, profile: &str) -> BenchReport {
         }
     }
 
+    experiments.extend(cpu_engine_cells(n));
     report("cpu", log2n, profile, experiments)
+}
+
+/// The k sweep of the `cpu-engine/...` cells.
+const CPU_ENGINE_KS: [usize; 3] = [1, 32, 1024];
+
+/// The qdb CPU engine through `execute_on` on one worker, one query
+/// shape per cell, best of [`CPU_SUITE_REPS`]:
+/// `cpu-engine/<table>/<shape>/k<k>`. Tables are the generated tweets
+/// (`uniform`) and the same rows with `retweet_count` and `likes_count`
+/// set to the row id (`increasing`: every row beats the running k-th
+/// best, the fused scan's worst case). Shapes are a 1% and a 30% time
+/// filter (`narrow`, `wide`), the ranking function (`rank`), bottom-k
+/// (`asc`) and the group-by count (`group`).
+fn cpu_engine_cells(n: usize) -> Vec<Experiment> {
+    let be = ExecBackend::cpu(1);
+    let uniform = TweetTable::generate(n, 31);
+    let mut increasing = uniform.clone();
+    for (row, (rt, likes)) in increasing
+        .retweet_count
+        .iter_mut()
+        .zip(&mut increasing.likes_count)
+        .enumerate()
+    {
+        (*rt, *likes) = (row as u32, row as u32);
+    }
+    let mut cells = Vec::new();
+    for (name, host) in [("uniform", &uniform), ("increasing", &increasing)] {
+        let table = BackendTable::load(&be, host);
+        for k in CPU_ENGINE_KS {
+            let filtered = |sel| {
+                let cutoff = host.time_cutoff_for_selectivity(sel);
+                format!(
+                    "SELECT id FROM tweets WHERE tweet_time < {cutoff} \
+                     ORDER BY retweet_count DESC LIMIT {k}"
+                )
+            };
+            let shapes = [
+                ("narrow", filtered(0.01)),
+                ("wide", filtered(0.3)),
+                (
+                    "rank",
+                    format!(
+                        "SELECT id FROM tweets \
+                         ORDER BY retweet_count + 0.5 * likes_count DESC LIMIT {k}"
+                    ),
+                ),
+                (
+                    "asc",
+                    format!("SELECT id FROM tweets ORDER BY retweet_count ASC LIMIT {k}"),
+                ),
+                (
+                    "group",
+                    format!(
+                        "SELECT uid, COUNT(*) FROM tweets GROUP BY uid \
+                         ORDER BY COUNT(*) DESC LIMIT {k}"
+                    ),
+                ),
+            ];
+            for (shape, sql) in shapes {
+                let q = parse_sql(&sql).expect("cell SQL parses");
+                let best = (0..CPU_SUITE_REPS)
+                    .map(|_| {
+                        let r = execute_on(&be, &table, &q, Strategy::StageBitonic)
+                            .expect("cpu engine query");
+                        assert!(!r.ids.is_empty() && r.ids.len() <= k, "{sql}");
+                        r.host_wall.as_secs_f64() * 1e3
+                    })
+                    .fold(f64::MAX, f64::min);
+                cells.push(cell(
+                    format!("cpu-engine/{name}/{shape}/k{k}"),
+                    &[("host_wall_ms", best), ("host_threads", 1.0)],
+                ));
+            }
+        }
+    }
+    cells
 }
 
 /// The offered-load sweep of the serving suite.
@@ -1203,9 +1282,17 @@ mod tests {
             .filter(|e| e.id.starts_with("cpu-baseline/"));
         // three baselines × two inputs × k in 1..=256
         assert_eq!(baselines.count(), 3 * 2 * 9);
+        let engine = r
+            .experiments
+            .iter()
+            .filter(|e| e.id.starts_with("cpu-engine/"));
+        // two tables × five shapes × three k
+        assert_eq!(engine.count(), 2 * 5 * CPU_ENGINE_KS.len());
         assert_eq!(
             r.experiments.len(),
-            TopKAlgorithm::all().len() * CPU_THREAD_SWEEP.len() + 3 * 2 * 9
+            TopKAlgorithm::all().len() * CPU_THREAD_SWEEP.len()
+                + 3 * 2 * 9
+                + 2 * 5 * CPU_ENGINE_KS.len()
         );
         for e in &r.experiments {
             // nothing modeled here: every metric is wall-clock

@@ -38,9 +38,10 @@
 //!   time plus backoff penalties) exceeds it;
 //! * **degrades** — when retries are exhausted a query falls down a
 //!   ladder: the batched/streamed bitonic path first re-runs as serial
-//!   `StageBitonic` on the default stream, and ultimately on the
-//!   `topk-cpu` heap backend, which cannot fault. The rung a query ended
-//!   on is reported in [`ServedQuery::degrade`] and aggregated in
+//!   `StageBitonic` on the default stream, and ultimately on the host:
+//!   the CPU engine's fused scan over the resident columns with the
+//!   `topk-cpu` heap as its reducer, which cannot fault. The rung a
+//!   query ended on is reported in [`ServedQuery::degrade`] and aggregated in
 //!   [`LoadReport::resilience`];
 //! * **audits** — serving-layer intermediate buffers are tagged for
 //!   ECC-corruption injection ([`simt::GpuBuffer::tag_ecc`]); after the
@@ -61,7 +62,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use datagen::{Kv, Rev, TopKItem};
+use datagen::{Kv, TopKItem};
 use simt::{
     chrome_trace_streams, AccessSpec, BlockCtx, BufferDecl, BulkAccess, Device, GpuBuffer, Kernel,
     SimTime, Stream, StreamId, StreamSchedule,
@@ -69,6 +70,7 @@ use simt::{
 use sortnet::next_pow2;
 use topk::batched::{batched_bitonic_topk, max_single_launch_row};
 
+use crate::cpu_engine::{fused_query, Cut};
 use crate::engine::{FilterKernel, FilterOp, TopKStrategy};
 use crate::error::QdbError;
 use crate::queries::{QueryResult, Strategy};
@@ -763,59 +765,14 @@ impl<'a> Server<'a> {
     }
 
     /// Host-side execution of a validated query against the resident
-    /// table via the `topk-cpu` heap backend — the ladder's final rung.
+    /// table — the ladder's final rung: the CPU engine's fused scan,
+    /// single-threaded, reading the device columns in place and cutting
+    /// with the `topk-cpu` heap, so it cannot fail.
     fn cpu_execute(&self, q: &Query) -> Vec<u32> {
-        let t = self.table;
-        let n = t.len();
-        match (&q.order_by, q.group_by_uid) {
-            (OrderBy::Count, true) => {
-                let mut counts: HashMap<u32, u32> = HashMap::new();
-                for row in 0..n {
-                    *counts.entry(t.uid.get(row)).or_insert(0) += 1;
-                }
-                let mut groups: Vec<Kv<u32>> =
-                    counts.into_iter().map(|(uid, c)| Kv::new(c, uid)).collect();
-                // HashMap iteration order is not deterministic; fix it
-                groups.sort_unstable_by_key(|kv| kv.value);
-                topk_cpu::heap_topk(&groups, q.limit)
-                    .iter()
-                    .map(|kv| kv.value)
-                    .collect()
-            }
-            (OrderBy::Rank { likes_weight }, false) => {
-                let items: Vec<Kv<f32>> = (0..n)
-                    .map(|r| {
-                        let rank = t.retweet_count.get(r) as f32
-                            + likes_weight * t.likes_count.get(r) as f32;
-                        Kv::new(rank, t.id.get(r))
-                    })
-                    .collect();
-                topk_cpu::heap_topk(&items, q.limit)
-                    .iter()
-                    .map(|kv| kv.value)
-                    .collect()
-            }
-            (OrderBy::RetweetCount, false) => {
-                let op = q.filter.clone().unwrap_or(FilterOp::TimeLess(u32::MAX));
-                let items: Vec<Kv<u32>> = (0..n)
-                    .filter(|&r| op.matches(t, r))
-                    .map(|r| Kv::new(t.retweet_count.get(r), t.id.get(r)))
-                    .collect();
-                if q.ascending {
-                    let rev: Vec<Rev<Kv<u32>>> = items.into_iter().map(Rev).collect();
-                    topk_cpu::heap_topk(&rev, q.limit)
-                        .iter()
-                        .map(|kv| kv.0.value)
-                        .collect()
-                } else {
-                    topk_cpu::heap_topk(&items, q.limit)
-                        .iter()
-                        .map(|kv| kv.value)
-                        .collect()
-                }
-            }
-            _ => Vec::new(), // unreachable: shapes validated at submit
-        }
+        // shapes are validated at submit, so the error arm is unreachable
+        fused_query(self.table, q, Cut::Heap, 1)
+            .map(|out| out.ids)
+            .unwrap_or_default()
     }
 
     /// Executes every admitted query and returns the load report.
@@ -1647,6 +1604,35 @@ mod tests {
         // the shed counter resets between drains
         server.submit(sql, SubmitOptions::default()).unwrap();
         assert_eq!(server.drain().resilience.shed, 0);
+    }
+
+    /// The ladder's CPU rung is the CPU engine's fused scan over the
+    /// device columns: the same ids in the same order for every shape,
+    /// including LIMITs that make the buffer cut and LIMITs above the
+    /// row count.
+    #[test]
+    fn cpu_rung_equals_the_cpu_engine() {
+        let (dev, host) = setup(12_000);
+        let table = GpuTweetTable::upload(&dev, &host);
+        let server = Server::new(&dev, &table, ServerConfig::default());
+        let be = topk::ExecBackend::cpu(1);
+        let cpu = crate::table::BackendTable::load(&be, &host);
+        for k in [1, 40, 1_500, 20_000] {
+            let order = "ORDER BY retweet_count";
+            for sql in [
+                format!("SELECT id FROM tweets WHERE lang = 'en' {order} DESC LIMIT {k}"),
+                format!("SELECT id FROM tweets {order} ASC LIMIT {k}"),
+                format!("SELECT id FROM tweets {order} + 0.5 * likes_count DESC LIMIT {k}"),
+                format!(
+                    "SELECT uid, COUNT(*) FROM tweets GROUP BY uid \
+                     ORDER BY COUNT(*) DESC LIMIT {k}"
+                ),
+            ] {
+                let q = parse(&sql).unwrap();
+                let engine = crate::execute_on(&be, &cpu, &q, Strategy::StageBitonic).unwrap();
+                assert_eq!(server.cpu_execute(&q), engine.ids, "{sql}");
+            }
+        }
     }
 
     #[test]

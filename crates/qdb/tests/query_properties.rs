@@ -5,7 +5,7 @@
 use datagen::twitter::TweetTable;
 use proptest::prelude::*;
 use qdb::{
-    execute_sharded, parse_sql,
+    execute_on, execute_sharded, parse_sql,
     queries::{filtered_topk, group_topk, ranked_topk},
     BackendTable, FilterOp, GpuTweetTable, PartitionPolicy, ReplicationFactor, ServerConfig,
     ShardedServer, ShardedTable, Strategy, SubmitOptions, TopKStrategy, TopKView, ViewConfig,
@@ -44,8 +44,115 @@ fn host_q1(host: &TweetTable, pred: impl Fn(usize) -> bool, k: usize) -> Vec<u32
     keys
 }
 
+/// The ids of the best `k` `(key, id)` pairs, best first: larger keys
+/// first, key ties to the smaller id — or, for `ascending`, smaller keys
+/// first and ties to the larger id (the reversed order of the `Rev` view).
+fn oracle_ids(mut items: Vec<(f64, u32)>, k: usize, ascending: bool) -> Vec<u32> {
+    items.sort_unstable_by(|a, b| {
+        let by_key = b.0.partial_cmp(&a.0).expect("no NaN keys");
+        let ordered = by_key.then(a.1.cmp(&b.1));
+        if ascending {
+            ordered.reverse()
+        } else {
+            ordered
+        }
+    });
+    items.into_iter().take(k).map(|(_, id)| id).collect()
+}
+
+/// One SQL text per CPU engine shape — a time filter, a language filter,
+/// DESC, ASC, rank, group-by and a filter no row passes — with its
+/// host oracle answer.
+fn engine_case(shape: usize, host: &TweetTable, k: usize) -> (String, Vec<u32>) {
+    let rows = 0..host.len();
+    let keyed = |r: usize| (f64::from(host.retweet_count[r]), host.id[r]);
+    match shape {
+        0..=3 => {
+            let sql = shape_sql(shape, host, k);
+            let q = parse_sql(&sql).unwrap();
+            let items = rows
+                .filter(|&r| {
+                    q.filter
+                        .as_ref()
+                        .is_none_or(|op| op.matches_row(host.tweet_time[r], host.lang[r]))
+                })
+                .map(keyed)
+                .collect();
+            (sql, oracle_ids(items, k, q.ascending))
+        }
+        4 => {
+            let rank = |r: usize| host.retweet_count[r] as f32 + 0.5 * host.likes_count[r] as f32;
+            let items = rows.map(|r| (f64::from(rank(r)), host.id[r])).collect();
+            (shape_sql(4, host, k), oracle_ids(items, k, false))
+        }
+        5 => {
+            let mut counts = std::collections::HashMap::new();
+            for &u in &host.uid {
+                *counts.entry(u).or_insert(0u32) += 1;
+            }
+            let items = counts.into_iter().map(|(u, c)| (f64::from(c), u)).collect();
+            let sql = format!(
+                "SELECT uid, COUNT(*) FROM tweets GROUP BY uid ORDER BY COUNT(*) DESC LIMIT {k}"
+            );
+            (sql, oracle_ids(items, k, false))
+        }
+        _ => {
+            let sql = format!(
+                "SELECT id FROM tweets WHERE tweet_time < 0 ORDER BY retweet_count DESC LIMIT {k}"
+            );
+            (sql, Vec::new())
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The CPU engine's fused scan returns the oracle's ids in order for
+    /// every strategy and thread count, on the generated table and on
+    /// key columns built to stress the running bar: only ties, keys
+    /// strictly increasing in row order (every row beats the bar) and
+    /// strictly decreasing.
+    #[test]
+    fn cpu_engine_returns_the_oracle_ids_in_order(
+        seed in any::<u64>(),
+        n in 5_000usize..20_000,
+        k_pick in 0usize..4,
+    ) {
+        let generated = TweetTable::generate(n, seed);
+        let with_keys = |key: &dyn Fn(usize) -> u32| {
+            let mut t = generated.clone();
+            for r in 0..n {
+                t.retweet_count[r] = key(r);
+                t.likes_count[r] = key(r);
+            }
+            t
+        };
+        let inputs = [
+            ("generated", generated.clone()),
+            ("ties", with_keys(&|_| 7)),
+            ("increasing", with_keys(&|r| r as u32)),
+            ("decreasing", with_keys(&|r| (n - r) as u32)),
+        ];
+        let k = [1, 32, 300, 1025][k_pick];
+        for (name, host) in &inputs {
+            for threads in [1, 3] {
+                let be = ExecBackend::cpu(threads);
+                let table = BackendTable::load(&be, host);
+                for shape in 0..7 {
+                    let (sql, oracle) = engine_case(shape, host, k);
+                    let q = parse_sql(&sql).unwrap();
+                    for strat in Strategy::all() {
+                        let got = execute_on(&be, &table, &q, strat).unwrap();
+                        prop_assert_eq!(
+                            &got.ids, &oracle,
+                            "{} t={} {}: {}", name, threads, strat.name(), sql
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn q1_agrees_for_random_selectivity_and_k(
